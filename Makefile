@@ -19,8 +19,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# The -race suite exercises the concurrent costing layer: the sharded
-# what-if cache, the parallel matrix build, and the experiment fan-out.
+# The -race suite exercises the concurrent costing layer: the shared
+# plan tables and plan cache, the parallel matrix build, and the
+# experiment fan-out.
 # internal/experiments replays full workloads against the live engine
 # and sits near go test's default 10m package deadline under -race on
 # slower machines, so the timeout is raised explicitly.

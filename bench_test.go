@@ -43,8 +43,9 @@ func getFixture(b *testing.B) *experiments.Table2Result {
 	return fixture
 }
 
-// warmProblem returns the W1 problem with its what-if memo warmed, so
-// solver benchmarks measure graph work, not cost-model evaluation.
+// warmProblem returns the W1 problem with its cost tables already built
+// in its solve cache, so solver benchmarks measure graph work, not
+// cost-model evaluation.
 func warmProblem(b *testing.B, k int) *core.Problem {
 	b.Helper()
 	t2 := getFixture(b)
@@ -266,8 +267,8 @@ func BenchmarkAblationHybrid(b *testing.B) {
 // benchMatrixBuild times one *cold* dense cost-table build — n stages ×
 // m configurations of real what-if EXEC calls, the advisor's dominant
 // expense — at a fixed parallelism degree. A fresh Problem per
-// iteration keeps the exec memo cold so the build measures costing, not
-// map lookups; the per-statement validation pass inside Advisor.Problem
+// iteration brings a fresh solve cache, so every iteration builds the
+// tables; the per-statement plan-table compile inside Advisor.Problem
 // is identical in both arms.
 func benchMatrixBuild(b *testing.B, parallelism int) {
 	t2 := getFixture(b)
@@ -290,7 +291,7 @@ func BenchmarkMatrixBuildSerial(b *testing.B) { benchMatrixBuild(b, 1) }
 
 // BenchmarkMatrixBuildParallel uses one worker per core; compare
 // against BenchmarkMatrixBuildSerial for the costing-layer speedup
-// (≈linear until the validation pass and memory bandwidth dominate).
+// (≈linear until the plan-table compile and memory bandwidth dominate).
 func BenchmarkMatrixBuildParallel(b *testing.B) { benchMatrixBuild(b, 0) }
 
 // BenchmarkRecommendConcurrent drives the whole advisor pipeline from

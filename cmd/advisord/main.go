@@ -11,7 +11,7 @@
 //	GET  /recommendation  last published design sequence, DDL steps, and provenance
 //	GET  /solves          per-solve decision lineage, newest first (ring of 64)
 //	GET  /calibration     streaming cost-model calibration report (estimate vs measured)
-//	GET  /healthz         ingest/solve counters, memo occupancy, and WAL/recovery state
+//	GET  /healthz         ingest/solve counters, plan-cache counters, and WAL/recovery state
 //
 // After every published solve the service replays -calib-samples window
 // statements against the engine under the recommended design, pairing
@@ -35,8 +35,9 @@
 // Retry-After instead of queueing, and bodies beyond -max-body-bytes
 // get 413. See DESIGN.md §14.
 //
-// Re-solves warm-start from state retained across windows: the what-if
-// EXEC memo (keyed by segment content, capped with clock eviction), the
+// Re-solves warm-start from state retained across windows: the plan
+// cache (compiled per-statement what-if plan tables keyed by SQL text,
+// so a window slide compiles only the statements that entered it), the
 // dense cost-table cache (invalidated by model fingerprint), and the
 // last-known-good solution backing the resilient ladder's final rung.
 // Each solve runs under a deadline with the degradation ladder, and the
@@ -104,7 +105,7 @@ func run(ctx context.Context) error {
 	snapshotEvery := flag.Int("snapshot-every", 0, "also snapshot after every N ingested statements (0 = snapshot only after solves)")
 	maxInflight := flag.Int("max-inflight", 64, "concurrent /ingest requests before shedding with 429 (negative = unbounded)")
 	maxBody := flag.Int64("max-body-bytes", 1<<20, "request body cap in bytes; larger bodies get 413 (negative = unlimited)")
-	memoCap := flag.Int("memo-cap", 1<<20, "retained what-if memo bound in entries (0 = unbounded)")
+	memoCap := flag.Int("memo-cap", 1<<20, "most compiled plan tables the plan cache retains between solves (0 = all the newest window references)")
 	solveTimeout := flag.Duration("solve-timeout", 30*time.Second, "deadline per solve attempt (0 = none)")
 	fallback := flag.Bool("fallback", true, "degrade to cheaper strategies (and last-known-good) when a solve attempt fails")
 	parallelism := flag.Int("parallelism", 0, "worker bound for the cost-table build (0 = all cores, 1 = serial)")

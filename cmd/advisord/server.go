@@ -51,7 +51,8 @@ type serviceConfig struct {
 	// MaxBody caps request bodies in bytes; larger bodies get 413
 	// (default 1 MiB; negative = unlimited).
 	MaxBody int64
-	// MemoCap bounds the retained what-if memo (entries; 0 = unbounded).
+	// MemoCap bounds the plan tables the retained plan cache keeps
+	// between solves (0 = every table the newest window references).
 	MemoCap int
 
 	// K, Strategy, SegmentSize, Timeout, Fallback, and Parallelism
@@ -108,14 +109,14 @@ type snapshot struct {
 }
 
 // service is the long-running advisor: it owns the statement window,
-// the drift alerter, the retained memo and solve cache, and the
+// the drift alerter, the retained plan cache and solve cache, and the
 // last-known-good recommendation snapshot.
 //
 // Concurrency model: ingest handlers run on arbitrary HTTP goroutines
 // and serialize window mutation behind mu (the alerter serializes
 // itself inside alerter.Stream). Solves run on exactly ONE goroutine —
 // the run loop draining the trigger channel — which is what the shared
-// memo and solve cache require; installed and lkg are touched only
+// solve cache requires; installed and lkg are touched only
 // there. Readers never block on either: they load the atomic snapshot.
 type service struct {
 	adv    *advisor.Advisor
@@ -125,7 +126,7 @@ type service struct {
 	mu  sync.Mutex // guards win
 	win *workload.Window
 
-	memo  *advisor.ExecMemo
+	plans *advisor.ExecMemo
 	cache *core.SolveCache
 
 	// Solver-goroutine state: the installed design (C0 of the next
@@ -227,7 +228,7 @@ func newService(adv *advisor.Advisor, cfg serviceConfig) (*service, error) {
 		adv:      adv,
 		cfg:      cfg,
 		win:      win,
-		memo:     advisor.NewMemo(cfg.MemoCap),
+		plans:    advisor.NewMemo(cfg.MemoCap),
 		cache:    core.NewSolveCache(),
 		trigger:  make(chan string, 1),
 		store:    cfg.Store,
@@ -434,7 +435,7 @@ func (s *service) close() error {
 }
 
 // solveOnce snapshots the window, re-solves it warm-started from the
-// retained memo, solve cache, and last-known-good solution, and
+// retained plan cache, solve cache, and last-known-good solution, and
 // publishes the new recommendation snapshot. It must only be called
 // from the solver goroutine (or a test standing in for it).
 //
@@ -512,7 +513,7 @@ func (s *service) solveOnce(ctx context.Context, reason string) (*advisor.Recomm
 		Timeout:     s.cfg.Timeout,
 		Fallback:    s.cfg.Fallback,
 		Parallelism: s.cfg.Parallelism,
-		Memo:        s.memo,
+		Memo:        s.plans,
 		Cache:       s.cache,
 		Tracer:      s.cfg.Tracer,
 	}
@@ -847,21 +848,21 @@ func (s *service) handleCalibration(w http.ResponseWriter, r *http.Request) {
 // healthzResponse is the GET /healthz body; the smoke test asserts the
 // drift counters off it.
 type healthzResponse struct {
-	Status            string       `json:"status"`
-	Ingested          int64        `json:"ingested"`
-	Batches           int64        `json:"batches"`
-	Rejected          int64        `json:"rejected"`
-	Shed              int64        `json:"shed"`
-	BodyTooLarge      int64        `json:"body_too_large"`
-	WindowStatements  int          `json:"window_statements"`
-	WindowCapacity    int          `json:"window_capacity"`
-	WindowTotal       int64        `json:"window_total"`
-	DriftAlerts       int64        `json:"drift_alerts"`
-	Resolves          int64        `json:"resolves"`
-	SolveErrors       int64        `json:"solve_errors"`
-	HasRecommendation bool         `json:"has_recommendation"`
-	Memo              memoJSON     `json:"memo"`
-	Durable           *durableJSON `json:"durable,omitempty"`
+	Status            string        `json:"status"`
+	Ingested          int64         `json:"ingested"`
+	Batches           int64         `json:"batches"`
+	Rejected          int64         `json:"rejected"`
+	Shed              int64         `json:"shed"`
+	BodyTooLarge      int64         `json:"body_too_large"`
+	WindowStatements  int           `json:"window_statements"`
+	WindowCapacity    int           `json:"window_capacity"`
+	WindowTotal       int64         `json:"window_total"`
+	DriftAlerts       int64         `json:"drift_alerts"`
+	Resolves          int64         `json:"resolves"`
+	SolveErrors       int64         `json:"solve_errors"`
+	HasRecommendation bool          `json:"has_recommendation"`
+	PlanCache         planCacheJSON `json:"plan_cache"`
+	Durable           *durableJSON  `json:"durable,omitempty"`
 }
 
 // durableJSON reports the WAL, snapshot, and recovery state when the
@@ -884,12 +885,14 @@ type durableJSON struct {
 	WorldMismatch     bool   `json:"world_mismatch"`
 }
 
-type memoJSON struct {
-	Entries       int64   `json:"entries"`
-	Capacity      int     `json:"capacity"`
-	HitRate       float64 `json:"hit_rate"`
-	Evictions     int64   `json:"evictions"`
-	Invalidations int64   `json:"invalidations"`
+// planCacheJSON reports the retained plan cache: tables held, distinct
+// statements served from it, tables compiled, and purges forced by
+// cost-world changes (the last three over the process lifetime).
+type planCacheJSON struct {
+	Entries       int   `json:"entries"`
+	Hits          int64 `json:"hits"`
+	Compiles      int64 `json:"compiles"`
+	Invalidations int64 `json:"invalidations"`
 }
 
 func (s *service) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -900,7 +903,7 @@ func (s *service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	winLen, winCap, winTotal := s.win.Len(), s.win.Cap(), s.win.Total()
 	s.mu.Unlock()
-	ms := s.memo.Stats()
+	ms := s.plans.Stats()
 	resp := healthzResponse{
 		Status:            "ok",
 		Ingested:          s.ingested.Load(),
@@ -915,11 +918,10 @@ func (s *service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Resolves:          s.resolves.Load(),
 		SolveErrors:       s.solveErrors.Load(),
 		HasRecommendation: s.snap.Load() != nil,
-		Memo: memoJSON{
+		PlanCache: planCacheJSON{
 			Entries:       ms.Entries,
-			Capacity:      ms.Capacity,
-			HitRate:       ms.HitRate(),
-			Evictions:     ms.Evictions,
+			Hits:          ms.Hits,
+			Compiles:      ms.Compiles,
 			Invalidations: ms.Invalidations,
 		},
 	}
@@ -1077,10 +1079,10 @@ func (s *service) helpGauges() {
 	g.Help("advisord_plan_tables_built_total", "Per-statement plan tables compiled by the last solve's batched costing layer.")
 	g.Help("advisord_plan_table_bytes", "Heap bytes retained by the last solve's compiled plan tables.")
 	g.Help("advisord_batched_lookups_total", "Configurations the last solve evaluated through the batched what-if entry point.")
-	g.Help("advisord_memo_entries", "Current occupancy of the retained what-if memo.")
-	g.Help("advisord_memo_hit_rate", "Lifetime hit rate of the retained what-if memo.")
-	g.Help("advisord_memo_evictions_total", "Entries evicted from the capped what-if memo.")
-	g.Help("advisord_memo_invalidations_total", "Whole-memo purges caused by cost-world changes.")
+	g.Help("advisord_plan_cache_entries", "Plan tables currently retained by the plan cache.")
+	g.Help("advisord_plan_cache_hits_total", "Distinct window statements served from retained plan tables.")
+	g.Help("advisord_plan_cache_compiles_total", "Plan tables compiled by window solves.")
+	g.Help("advisord_plan_cache_invalidations_total", "Whole-cache purges caused by cost-world changes.")
 	g.Help("advisord_shed_total", "Ingest requests shed with 429 by the overload guard.")
 	g.Help("advisord_body_too_large_total", "Requests rejected with 413 for exceeding the body cap.")
 	g.Help("advisord_wal_appends_total", "Records appended to the write-ahead log this process.")
@@ -1169,11 +1171,11 @@ func (s *service) publishGauges(rec *advisor.Recommendation, elapsed time.Durati
 		g.Set("advisord_plan_table_bytes", float64(rec.Stats.PlanTableBytes))
 		g.Set("advisord_batched_lookups_total", float64(rec.Stats.BatchedLookups))
 	}
-	ms := s.memo.Stats()
-	g.Set("advisord_memo_entries", float64(ms.Entries))
-	g.Set("advisord_memo_hit_rate", ms.HitRate())
-	g.Set("advisord_memo_evictions_total", float64(ms.Evictions))
-	g.Set("advisord_memo_invalidations_total", float64(ms.Invalidations))
+	ms := s.plans.Stats()
+	g.Set("advisord_plan_cache_entries", float64(ms.Entries))
+	g.Set("advisord_plan_cache_hits_total", float64(ms.Hits))
+	g.Set("advisord_plan_cache_compiles_total", float64(ms.Compiles))
+	g.Set("advisord_plan_cache_invalidations_total", float64(ms.Invalidations))
 	s.publishDurableGauges()
 }
 

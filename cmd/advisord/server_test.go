@@ -449,9 +449,9 @@ func solutionBytes(t *testing.T, rec *advisor.Recommendation) []byte {
 
 // TestAdvisordIncrementalMatchesOneShot is the incremental ≡ one-shot
 // equivalence gate: a windowed re-solve that warm-starts from the
-// retained memo, solve cache, and chained initial configuration must be
-// byte-identical to a cold advisor.RecommendContext over the same
-// window — on the serial path and with Parallelism = 4.
+// retained plan cache, solve cache, and chained initial configuration
+// must be byte-identical to a cold advisor.RecommendContext over the
+// same window — on the serial path and with Parallelism = 4.
 func TestAdvisordIncrementalMatchesOneShot(t *testing.T) {
 	adv := testAdvisor(t)
 	trace := phasedTrace(t, 80)
@@ -487,11 +487,11 @@ func TestAdvisordIncrementalMatchesOneShot(t *testing.T) {
 			if warm == nil || warm.Solution == nil {
 				t.Fatal("no warm recommendation")
 			}
-			if st := svc.memo.Stats(); st.Hits == 0 {
-				t.Fatalf("retained memo never hit across windows: %+v", st)
+			if st := svc.plans.Stats(); st.Hits == 0 {
+				t.Fatalf("retained plan cache never hit across windows: %+v", st)
 			}
 
-			// Cold one-shot over the same window: fresh memo, fresh
+			// Cold one-shot over the same window: fresh plan cache, fresh
 			// cache, same options (the warm solve's Initial is the
 			// design chained from the previous window's adoption).
 			svc.mu.Lock()

@@ -23,7 +23,6 @@ import (
 	"dyndesign/internal/cost"
 	"dyndesign/internal/engine"
 	"dyndesign/internal/obs"
-	"dyndesign/internal/sql"
 	"dyndesign/internal/workload"
 )
 
@@ -112,13 +111,12 @@ type Options struct {
 	// serial solves produce bit-identical results.
 	Parallelism int
 
-	// Memo, when non-nil, supplies a retained what-if EXEC memo instead
-	// of the fresh per-problem default. Memo entries are keyed by
-	// segment content, so a long-running service that re-solves
-	// overlapping windows re-costs only statements it has not seen;
-	// stale entries are purged automatically when the cost world
-	// (statistics, physical descriptions) changes. Callers sharing one
-	// memo must serialize their solves. See NewMemo.
+	// Memo, when non-nil, supplies a retained plan cache instead of the
+	// fresh per-problem default. Compiled plan tables are keyed by SQL
+	// text, so a long-running service that re-solves overlapping
+	// windows compiles only statements it has not seen; the cache is
+	// purged automatically when the cost world (statistics, physical
+	// descriptions) changes. See NewMemo.
 	Memo *ExecMemo
 
 	// Cache, when non-nil, supplies a retained solve cache
@@ -234,56 +232,30 @@ func (a *Advisor) StatementCost(s workload.Statement, c core.Config) (float64, e
 	return cost.StatementCost(s.Stmt, a.table, idxs)
 }
 
-// whatIfModel implements core.FallibleModel over the engine's what-if
-// cost functions. It is safe for concurrent use: the EXEC memo is a
-// sharded, mutex-guarded cache, TRANS and SIZE are pure functions of
-// immutable physical descriptions, and the call counter is atomic — so
-// one Problem can be shared by several solver goroutines and by the
-// parallel matrix build.
+// whatIfModel implements core.CostModel over the engine's what-if cost
+// functions. Every statement is compiled into a plan table when the
+// problem is assembled, so EXEC is a pure sum of table lookups and the
+// model is immutable afterwards: one Problem can be shared by several
+// solver goroutines and by the parallel matrix build without locks.
 type whatIfModel struct {
 	table cost.TablePhys
 	phys  []cost.IndexPhys
-	segs  []workload.Segment
-	// segHash fingerprints each segment's statement content; it keys
-	// the EXEC memo so entries survive the stage renumbering a sliding
-	// window causes between solves.
-	segHash []uint64
+	// plans[i] holds stage i's statement plan tables, shared with every
+	// other statement of the same SQL text (and, through a retained
+	// ExecMemo, with later problems).
+	plans [][]*cost.PlanTable
 	// version memoizes ModelVersion: the world and the segments are
 	// immutable once the problem is assembled, and the solve cache
 	// consults the version on every table fetch and replay peek.
 	version uint64
-	memo    *ExecMemo
-	// whatIfCalls counts statement costings demanded of the model —
-	// memo misses times statements, attempted evaluations included even
-	// when costing fails; memo hits never count. See CostStats.
-	whatIfCalls atomic.Int64
-	// plan[i] holds stage i's compiled statement plan tables, built
-	// lazily under planLocks[i] on the first memo-missing evaluation
-	// and read lock-free afterwards. Compilation failures are
-	// deliberately not cached (mirroring the memo), so a healthy retry
-	// recompiles instead of replaying a dead error.
-	plan      []atomic.Pointer[stagePlans]
-	planLocks []sync.Mutex
-	// planBuilds, planBytes, and batchedLookups instrument the batched
-	// costing layer: plan tables compiled, bytes they retain, and
-	// configurations evaluated through BatchExec.
-	planBuilds     atomic.Int64
-	planBytes      atomic.Int64
+	// stats is the assembly's costing instrumentation; batchedLookups
+	// adds the configurations evaluated through BatchExec since.
+	stats          CostStats
 	batchedLookups atomic.Int64
-	// errMu guards execErr, the first costing failure since the last
-	// TakeErr drain (the core.FallibleModel contract).
-	errMu   sync.Mutex
-	execErr error
 	// interOnce guards interactions, the memoized ExecInteractions
 	// cliques (computed lazily — only the partitioned solver asks).
 	interOnce    sync.Once
 	interactions []core.Config
-}
-
-// stagePlans is one stage's compiled costing: a plan table per
-// statement of the segment.
-type stagePlans struct {
-	tables []*cost.PlanTable
 }
 
 // fnv64 is FNV-1a over a byte sequence fed piecewise.
@@ -317,23 +289,35 @@ func segmentHash(seg workload.Segment) uint64 {
 	return uint64(h)
 }
 
-// worldVersion fingerprints the cost world the model evaluates in: the
-// statistics epoch plus every physical description. It deliberately
-// excludes the workload segments — the EXEC memo keys those per entry,
-// so an unchanged world keeps memo entries valid across windows.
-func (m *whatIfModel) worldVersion() uint64 {
+// worldVersion fingerprints the cost world the advisor evaluates in:
+// the statistics epoch plus every physical description. It deliberately
+// excludes the workload — the plan cache keys statements per entry, so
+// an unchanged world keeps retained plan tables valid across windows.
+func (a *Advisor) worldVersion() uint64 {
 	h := newFnv()
-	h.str(m.table.Name)
-	h.u64(math.Float64bits(m.table.Rows))
-	h.u64(math.Float64bits(m.table.HeapPages))
-	h.u64(m.table.Stats.Fingerprint())
-	h.u64(uint64(len(m.phys)))
-	for _, ip := range m.phys {
+	h.str(a.table.Name)
+	h.u64(math.Float64bits(a.table.Rows))
+	h.u64(math.Float64bits(a.table.HeapPages))
+	h.u64(a.table.Stats.Fingerprint())
+	h.u64(uint64(len(a.phys)))
+	for _, ip := range a.phys {
 		h.str(ip.Def.Name())
 		h.u64(math.Float64bits(ip.Height))
 		h.u64(math.Float64bits(ip.LeafPages))
 		h.u64(math.Float64bits(ip.TotalPages))
 		h.u64(uint64(ip.KeyBytes))
+	}
+	return uint64(h)
+}
+
+// modelVersion derives the ModelVersion fingerprint: the cost world
+// plus the statement content behind each stage.
+func modelVersion(world uint64, segs []workload.Segment) uint64 {
+	h := newFnv()
+	h.u64(world)
+	h.u64(uint64(len(segs)))
+	for _, seg := range segs {
+		h.u64(segmentHash(seg))
 	}
 	return uint64(h)
 }
@@ -344,160 +328,46 @@ func (m *whatIfModel) worldVersion() uint64 {
 // compute identical cost tables, which is what lets a retained
 // core.SolveCache warm-start the re-solve of an unchanged window and
 // forces a rebuild the moment statistics are refreshed under a
-// long-lived model. The value is memoized at problem assembly — the
+// long-lived model. The value is computed at problem assembly — the
 // model is immutable afterwards.
 func (m *whatIfModel) ModelVersion() uint64 { return m.version }
 
-// computeVersion derives the ModelVersion fingerprint; called once
-// after segHash is populated.
-func (m *whatIfModel) computeVersion() uint64 {
-	h := newFnv()
-	h.u64(m.worldVersion())
-	h.u64(uint64(len(m.segHash)))
-	for _, sh := range m.segHash {
-		h.u64(sh)
-	}
-	return uint64(h)
-}
-
-// stagePlans returns stage's compiled plan tables, compiling them on
-// first use. Compilation is the "one histogram pass per access path"
-// step: each statement's selectivities and candidate path costs are
-// derived exactly once, after which every configuration evaluation is
-// O(statements) masked table lookups.
-func (m *whatIfModel) stagePlans(stage int) (*stagePlans, error) {
-	if sp := m.plan[stage].Load(); sp != nil {
-		return sp, nil
-	}
-	m.planLocks[stage].Lock()
-	defer m.planLocks[stage].Unlock()
-	if sp := m.plan[stage].Load(); sp != nil {
-		return sp, nil
-	}
-	stmts := m.segs[stage].Statements
-	sp := &stagePlans{tables: make([]*cost.PlanTable, len(stmts))}
-	retained := 0
-	for i, s := range stmts {
-		pt, err := cost.CompilePlan(s.Stmt, m.table, m.phys)
-		if err != nil {
-			return nil, fmt.Errorf("advisor: costing validated statement %q: %w", s.SQL, err)
-		}
-		sp.tables[i] = pt
-		retained += pt.Bytes()
-	}
-	m.plan[stage].Store(sp)
-	m.planBuilds.Add(int64(len(stmts)))
-	m.planBytes.Add(int64(retained))
-	return sp, nil
-}
-
 // Exec implements core.CostModel: the summed what-if cost of the
-// segment's statements under configuration c, evaluated through the
-// stage's compiled plan tables (bit-identical to summing
-// cost.StatementCost, per the PlanTable contract). Statements are
-// validated when the problem is built, so a compile error here means
-// the model's world changed mid-solve; the failure is recorded for
-// TakeErr, the evaluation returns +Inf, and nothing is memoized so a
-// healthy retry can recompute the cell.
+// segment's statements under configuration c, evaluated through their
+// compiled plan tables (bit-identical to summing cost.StatementCost,
+// per the PlanTable contract).
 func (m *whatIfModel) Exec(stage int, c core.Config) float64 {
-	key := execKey{seg: m.segHash[stage], cfg: c}
-	if v, ok := m.memo.get(key); ok {
-		return v
-	}
-	// Count the attempted statement costings before knowing whether
-	// they succeed: the counter attributes demanded work per cell, and
-	// an error path that skipped it would under-report exactly when
-	// diagnosing matters most.
-	m.whatIfCalls.Add(int64(len(m.segs[stage].Statements)))
-	sp, err := m.stagePlans(stage)
-	if err != nil {
-		m.recordErr(err)
-		return math.Inf(1)
-	}
 	total := 0.0
-	for _, pt := range sp.tables {
+	for _, pt := range m.plans[stage] {
 		total += pt.Cost(uint64(c))
 	}
-	m.memo.put(key, total)
 	return total
 }
 
-// BatchExec implements core.BatchCostModel: one memo probe per
-// configuration, plan-table evaluation for the misses. The per-stage
-// setup — segment hash, statement count, plan-table fetch — is paid
-// once per call instead of once per cell, and no per-call index-slice
-// assembly happens at all.
+// BatchExec implements core.BatchCostModel: Exec over a frontier of
+// configurations, with the stage's table fetch paid once per call.
 func (m *whatIfModel) BatchExec(stage int, configs []core.Config, out []float64) []float64 {
 	if cap(out) < len(configs) {
 		out = make([]float64, len(configs))
 	}
 	out = out[:len(configs)]
 	m.batchedLookups.Add(int64(len(configs)))
-	seg := m.segHash[stage]
-	var sp *stagePlans
-	var spErr error
-	loaded := false
-	missed := int64(0)
+	tables := m.plans[stage]
 	for j, c := range configs {
-		key := execKey{seg: seg, cfg: c}
-		if v, ok := m.memo.get(key); ok {
-			out[j] = v
-			continue
-		}
-		missed++
-		if !loaded {
-			loaded = true
-			sp, spErr = m.stagePlans(stage)
-			if spErr != nil {
-				m.recordErr(spErr)
-			}
-		}
-		if spErr != nil {
-			out[j] = math.Inf(1)
-			continue
-		}
 		total := 0.0
-		for _, pt := range sp.tables {
+		for _, pt := range tables {
 			total += pt.Cost(uint64(c))
 		}
-		m.memo.put(key, total)
 		out[j] = total
-	}
-	if missed > 0 {
-		m.whatIfCalls.Add(missed * int64(len(m.segs[stage].Statements)))
 	}
 	return out
 }
 
-// recordErr keeps the first costing failure for TakeErr.
-func (m *whatIfModel) recordErr(err error) {
-	m.errMu.Lock()
-	if m.execErr == nil {
-		m.execErr = err
-	}
-	m.errMu.Unlock()
-}
-
-// TakeErr implements core.FallibleModel: it returns the first costing
-// failure since the previous drain and clears it.
-func (m *whatIfModel) TakeErr() error {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	err := m.execErr
-	m.execErr = nil
-	return err
-}
-
 // costStats implements statsProvider.
 func (m *whatIfModel) costStats() CostStats {
-	return CostStats{
-		WhatIfCalls:     m.whatIfCalls.Load(),
-		CacheLookups:    m.memo.lookups.Load(),
-		CacheHits:       m.memo.hits.Load(),
-		PlanTableBuilds: m.planBuilds.Load(),
-		PlanTableBytes:  m.planBytes.Load(),
-		BatchedLookups:  m.batchedLookups.Load(),
-	}
+	st := m.stats
+	st.BatchedLookups = m.batchedLookups.Load()
+	return st
 }
 
 // Trans implements core.CostModel: build costs for added structures plus
@@ -540,19 +410,13 @@ func (m *whatIfModel) TransParts() (add, drop []float64) {
 func (m *whatIfModel) ExecInteractions() []core.Config {
 	m.interOnce.Do(func() {
 		seen := make(map[core.Config]bool)
-		for i := range m.segs {
+		for _, tables := range m.plans {
 			// The plan tables record each statement's relevant mask —
 			// the indexes whose solo probe beats (or ties, given the
 			// planner's index-preferring tie-break) the heap scan —
 			// which is exactly the clique the solo ChooseAccess probes
-			// used to derive. Compile failures surface through Exec,
-			// not here; a failing stage just contributes no cliques,
-			// as its per-index probes would all have errored too.
-			sp, err := m.stagePlans(i)
-			if err != nil {
-				continue
-			}
-			for _, pt := range sp.tables {
+			// used to derive.
+			for _, pt := range tables {
 				cl := core.Config(pt.RelevantMask())
 				if cl.Count() < 2 || seen[cl] {
 					continue // singletons add no edges
@@ -575,52 +439,40 @@ func (m *whatIfModel) Size(c core.Config) float64 {
 }
 
 // Problem assembles the core problem instance for a workload under the
-// given options. It validates every statement against the schema up
-// front.
+// given options. It compiles every distinct statement into a plan table
+// up front (through Options.Memo when set), which also validates each
+// one against the schema: a statement that cannot be costed fails here,
+// with its index, not mid-solve.
 func (a *Advisor) Problem(w *workload.Workload, opts Options) (_ *core.Problem, _ []workload.Segment, err error) {
 	sp := opts.Tracer.Start("advisor.problem")
 	defer func() { sp.End(obs.Int("statements", int64(w.Len())), obs.Bool("ok", err == nil)) }()
 	if w.Len() == 0 {
 		return nil, nil, fmt.Errorf("advisor: empty workload")
 	}
-	// Validate statements once: cost errors are schema/type errors and
-	// configuration-independent.
-	for i, s := range w.Statements {
-		switch s.Stmt.(type) {
-		case *sql.Select, *sql.Insert, *sql.Update, *sql.Delete:
-			if _, err := cost.StatementCost(s.Stmt, a.table, nil); err != nil {
-				return nil, nil, fmt.Errorf("advisor: statement %d (%q): %w", i, s.SQL, err)
-			}
-		default:
-			return nil, nil, fmt.Errorf("advisor: statement %d (%q) is not a workload statement", i, s.SQL)
-		}
+	memo := opts.Memo
+	if memo == nil {
+		memo = NewMemo(0)
+	}
+	world := a.worldVersion()
+	tables, stats, err := memo.compile(world, w.Statements, a.table, a.phys)
+	if err != nil {
+		return nil, nil, err
 	}
 	segSize := opts.SegmentSize
 	if segSize <= 0 {
 		segSize = 1
 	}
 	segs := w.Segments(segSize)
-	memo := opts.Memo
-	if memo == nil {
-		memo = newExecCache()
-	}
 	model := &whatIfModel{
-		table: a.table,
-		phys:  a.phys,
-		segs:  segs,
-		memo:  memo,
+		table:   a.table,
+		phys:    a.phys,
+		plans:   make([][]*cost.PlanTable, len(segs)),
+		version: modelVersion(world, segs),
+		stats:   stats,
 	}
-	model.segHash = make([]uint64, len(segs))
 	for i, seg := range segs {
-		model.segHash[i] = segmentHash(seg)
+		model.plans[i] = tables[seg.Start : seg.Start+len(seg.Statements)]
 	}
-	model.plan = make([]atomic.Pointer[stagePlans], len(segs))
-	model.planLocks = make([]sync.Mutex, len(segs))
-	model.version = model.computeVersion()
-	// Pin the memo to this model's cost world: entries computed under
-	// refreshed statistics or different physical descriptions are
-	// purged instead of replayed.
-	memo.validate(model.worldVersion())
 	configs := a.space.Configs
 	if configs == nil {
 		var err error
@@ -747,23 +599,11 @@ func (a *Advisor) solveProblem(ctx context.Context, p *core.Problem, strategy co
 		return res.Solution, nil
 	}
 	sol, err := core.Solve(ctx, p, strategy)
-	if ferr := takeModelErr(p.Model); ferr != nil && err == nil {
-		sol, err = nil, ferr
-	}
 	if err != nil {
 		return nil, err
 	}
 	rec.Rung = strategy
 	return sol, nil
-}
-
-// takeModelErr drains the model's recorded costing failure when it is
-// fallible.
-func takeModelErr(m core.CostModel) error {
-	if fm, ok := m.(core.FallibleModel); ok {
-		return fm.TakeErr()
-	}
-	return nil
 }
 
 // RecommendStatic recommends the best single static design for the whole

@@ -177,7 +177,7 @@ func TestWhatIfModelProperties(t *testing.T) {
 			break
 		}
 	}
-	// Memoization: repeated calls agree.
+	// Repeated calls agree.
 	if m.Exec(0, one) != m.Exec(0, one) {
 		t.Error("Exec not deterministic")
 	}
@@ -592,11 +592,8 @@ func TestRecommendationInstrumentation(t *testing.T) {
 		t.Errorf("MatrixBuildTime = %v, want > 0", rec.MatrixBuildTime)
 	}
 	// The recommendation re-reads the exec cells the matrix build already
-	// priced when it costs the final design: either the exec memo absorbs
-	// those calls or the solve cache serves the replay from its tables.
-	if rec.Stats.CacheHits == 0 && rec.MatrixReuses == 0 {
-		t.Error("neither the exec memo nor the solve cache recorded a hit on a full recommendation")
-	}
+	// priced when it costs the final design: the solve cache serves the
+	// replay from its tables.
 	if rec.MatrixReuses <= 0 {
 		t.Errorf("MatrixReuses = %d, want > 0 (cost replays should be served from cached tables)", rec.MatrixReuses)
 	}

@@ -2,17 +2,16 @@ package advisor
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"testing"
 
 	"dyndesign/internal/core"
 	"dyndesign/internal/workload"
 )
 
-// TestBatchExecMatchesExec pins the tentpole invariant at the model
+// TestBatchExecMatchesExec pins the batched entry point at the model
 // layer: BatchExec over a frontier is bit-for-bit identical to per-call
-// Exec, on cold and warm memos alike.
+// Exec, and repeated calls do not drift.
 func TestBatchExecMatchesExec(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := testWorkload(t)
@@ -24,8 +23,7 @@ func TestBatchExecMatchesExec(t *testing.T) {
 	if !ok {
 		t.Fatal("advisor problem model does not implement core.BatchCostModel")
 	}
-	// Scalar twin with its own memo, so neither side sees the other's
-	// cached values.
+	// Scalar twin over separately compiled plan tables.
 	p2, _, err := adv.Problem(w, paperOpts(2))
 	if err != nil {
 		t.Fatal(err)
@@ -42,81 +40,44 @@ func TestBatchExecMatchesExec(t *testing.T) {
 				t.Fatalf("stage %d config %v: batch %v != scalar %v", stage, c, out[j], want)
 			}
 		}
-		// Warm pass: every value now comes from the memo; must not drift.
-		warm := bm.BatchExec(stage, p.Configs, nil)
-		for j := range warm {
-			if math.Float64bits(warm[j]) != math.Float64bits(out[j]) {
-				t.Fatalf("stage %d config %v: warm batch %v != cold %v", stage, p.Configs[j], warm[j], out[j])
+		// Second pass over the same tables: must not drift.
+		again := bm.BatchExec(stage, p.Configs, nil)
+		for j := range again {
+			if math.Float64bits(again[j]) != math.Float64bits(out[j]) {
+				t.Fatalf("stage %d config %v: second batch %v != first %v", stage, p.Configs[j], again[j], out[j])
 			}
 		}
 	}
 }
 
-// brokenModel builds a whatIfModel whose only segment contains
-// statements that parse but cannot be costed (unknown column),
-// bypassing the validation Problem performs — the shape of a world that
-// changed mid-solve.
-func brokenModel(t *testing.T, adv *Advisor) (*whatIfModel, int) {
-	t.Helper()
-	stmts := []workload.Statement{
-		workload.MustStatement("SELECT nope FROM t"),
-		workload.MustStatement("SELECT a FROM t WHERE a = 1"),
-	}
-	segs := []workload.Segment{{Statements: stmts}}
-	m := &whatIfModel{table: adv.table, phys: adv.phys, segs: segs, memo: newExecCache()}
-	m.segHash = []uint64{segmentHash(segs[0])}
-	m.plan = make([]atomic.Pointer[stagePlans], 1)
-	m.planLocks = make([]sync.Mutex, 1)
-	m.version = m.computeVersion()
-	m.memo.validate(m.worldVersion())
-	return m, len(stmts)
-}
-
-// TestExecCountsAttemptedStatementsOnError pins the accounting fix:
-// what-if calls count the statements a costing *attempted*, even when
-// the attempt fails, and failed cells are never memoized.
-func TestExecCountsAttemptedStatementsOnError(t *testing.T) {
+// TestProblemRejectsUncostableStatement pins the assembly-time
+// validation that replaced the mid-solve compile-error path: a
+// statement that parses but cannot be costed fails Problem itself,
+// naming its index and SQL text, before any solver runs.
+func TestProblemRejectsUncostableStatement(t *testing.T) {
 	_, adv := testAdvisor(t)
-	m, nstmt := brokenModel(t, adv)
-	if v := m.Exec(0, 0); !math.IsInf(v, 1) {
-		t.Fatalf("Exec on a broken world = %v, want +Inf", v)
+	w := &workload.Workload{}
+	w.Append("", workload.MustStatement("SELECT a FROM t WHERE a = 1"))
+	w.Append("", workload.MustStatement("SELECT nope FROM t"))
+	opts := paperOpts(1)
+	opts.Memo = NewMemo(0)
+	_, _, err := adv.Problem(w, opts)
+	if err == nil {
+		t.Fatal("uncostable statement accepted")
 	}
-	if got := m.whatIfCalls.Load(); got != int64(nstmt) {
-		t.Fatalf("whatIfCalls after failed Exec = %d, want %d (attempted statements must count)", got, nstmt)
-	}
-	if err := m.TakeErr(); err == nil {
-		t.Fatal("TakeErr returned nil after a costing failure")
-	}
-	// The failure is not cached: a retry attempts (and counts) again.
-	if v := m.Exec(0, 0); !math.IsInf(v, 1) {
-		t.Fatalf("second Exec = %v, want +Inf", v)
-	}
-	if got := m.whatIfCalls.Load(); got != 2*int64(nstmt) {
-		t.Fatalf("whatIfCalls after retry = %d, want %d", got, 2*nstmt)
-	}
-
-	// Same contract on the batched path.
-	m2, _ := brokenModel(t, adv)
-	configs := []core.Config{0, 1, 2}
-	out := m2.BatchExec(0, configs, nil)
-	for j, v := range out {
-		if !math.IsInf(v, 1) {
-			t.Fatalf("batch cell %d on a broken world = %v, want +Inf", j, v)
+	for _, want := range []string{"statement 1", `"SELECT nope FROM t"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
 		}
 	}
-	if got := m2.whatIfCalls.Load(); got != int64(len(configs)*nstmt) {
-		t.Fatalf("whatIfCalls after failed batch = %d, want %d", got, len(configs)*nstmt)
-	}
-	if err := m2.TakeErr(); err == nil {
-		t.Fatal("TakeErr returned nil after a batched costing failure")
-	}
-	if got := m2.costStats().BatchedLookups; got != int64(len(configs)) {
-		t.Fatalf("BatchedLookups = %d, want %d", got, len(configs))
+	if n := opts.Memo.Stats().Entries; n != 0 {
+		t.Fatalf("failed assembly retained %d plan tables", n)
 	}
 }
 
-// TestExecWarmMemoZeroAllocs pins the arena property of the hot path: a
-// memo-served Exec performs no heap allocation at all.
+// TestExecWarmMemoZeroAllocs pins the arena property of the hot path:
+// Exec, a pure sum over the stage's compiled plan tables, performs no
+// heap allocation at all.
 func TestExecWarmMemoZeroAllocs(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := testWorkload(t)
@@ -128,7 +89,7 @@ func TestExecWarmMemoZeroAllocs(t *testing.T) {
 	cfg := p.Configs[len(p.Configs)-1]
 	m.Exec(0, cfg)
 	if allocs := testing.AllocsPerRun(100, func() { m.Exec(0, cfg) }); allocs != 0 {
-		t.Fatalf("warm-memo Exec allocates %.1f objects per call, want 0", allocs)
+		t.Fatalf("Exec allocates %.1f objects per call, want 0", allocs)
 	}
 }
 

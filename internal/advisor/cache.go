@@ -1,267 +1,164 @@
 package advisor
 
 import (
+	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"dyndesign/internal/core"
+	"dyndesign/internal/cost"
+	"dyndesign/internal/workload"
 )
 
-// execCacheShards is the shard count of the what-if EXEC memo. 64
-// shards keep lock contention negligible even when every core of a
-// large machine fills the cost matrix at once, at a fixed cost of a few
-// kilobytes per memo.
-const execCacheShards = 64
-
-// execKey identifies one EXEC memo cell: the content fingerprint of a
-// workload segment plus the configuration it was costed under. Keying
-// by segment content instead of stage index is what lets one memo
-// outlive a single problem — a sliding window shifts every stage index
-// between solves, but an unchanged segment keeps its key, so the
-// advisor service re-costs only the statements that actually entered
-// the window.
-type execKey struct {
-	seg uint64
-	cfg core.Config
-}
-
-type execShard struct {
-	mu sync.RWMutex
-	m  map[execKey]int // key -> slot index
-	// Slot storage: parallel slices so the clock hand can walk
-	// insertion order. ref bits are set atomically under RLock by
-	// readers and inspected by the evicting writer.
-	keys []execKey
-	vals []float64
-	ref  []uint32
-	hand int
-}
-
-// ExecMemo is the sharded, mutex-guarded memo for EXEC(segment, config)
-// what-if results. It is safe for concurrent use, so one advisor
-// Problem can be solved by several strategies (or a parallel matrix
-// build) at the same time, and — because keys are segment content
-// hashes — it may be retained across recommendations: pass one via
-// Options.Memo and a re-solve warm-starts from every segment it has
-// seen before.
+// ExecMemo is the retained what-if plan cache: compiled per-statement
+// plan tables (cost.PlanTable) keyed by SQL text. Problem assembly
+// compiles every distinct statement of a workload exactly once and
+// consults the cache first, so a long-running service that re-solves
+// overlapping windows compiles only the statements that entered the
+// window since the previous solve. EXEC values themselves are never
+// cached: evaluating a compiled table is a few masked lookups, cheaper
+// than any memo probe.
 //
-// A capacity caps the number of retained entries; beyond it each shard
-// evicts with a clock (second-chance) sweep, so a statement stream of
-// unbounded length runs in bounded memory while looping workloads keep
-// their working set. Capacity 0 means unbounded — the right choice for
-// one-shot runs.
-//
-// On a miss the value is computed outside any lock and stored after;
-// two goroutines racing on the same cold key both compute it, but the
-// model is deterministic so they store the same value — wasted work,
-// never wrong answers.
+// The cache is pinned to the cost world it compiled under (statistics
+// epoch plus physical descriptions) and purged when that world changes.
+// After each assembly it retains only the tables the newest problem
+// references, so memory is bounded by the window, with the capacity
+// given to NewMemo as a ceiling. It is safe for concurrent use; its
+// mutex is held during assembly only, never while a solver runs.
 type ExecMemo struct {
-	shards   [execCacheShards]execShard
-	capShard int // max slots per shard; 0 = unbounded
+	mu       sync.Mutex
+	capacity int // retained-table ceiling; 0 = unbounded
+	world    uint64
+	worldOK  bool
+	plans    map[string]*cost.PlanTable
 
-	lookups       atomic.Int64
-	hits          atomic.Int64
-	entries       atomic.Int64
-	evictions     atomic.Int64
-	invalidations atomic.Int64
-
-	// genMu guards the world generation: the fingerprint of the cost
-	// world (statistics epoch + physical descriptions) the entries were
-	// computed under. A solve against a different world purges the memo
-	// instead of replaying costs from dead statistics.
-	genMu sync.Mutex
-	gen   uint64
-	genOK bool
+	hits, compiles, invalidations int64
 }
 
-// NewMemo builds an EXEC memo bounded to about capacity entries
-// (rounded up to a per-shard cap); capacity <= 0 means unbounded. Pass
-// the memo via Options.Memo to share it across recommendations.
+// NewMemo builds a plan cache retaining at most capacity plan tables
+// between assemblies; capacity <= 0 means no ceiling beyond the newest
+// problem's distinct statements. Pass it via Options.Memo to share it
+// across recommendations.
 func NewMemo(capacity int) *ExecMemo {
-	c := &ExecMemo{}
-	if capacity > 0 {
-		c.capShard = (capacity + execCacheShards - 1) / execCacheShards
-		if c.capShard < 1 {
-			c.capShard = 1
-		}
+	if capacity < 0 {
+		capacity = 0
 	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[execKey]int)
-	}
-	return c
+	return &ExecMemo{capacity: capacity}
 }
 
-// newExecCache is the fresh unbounded memo a one-shot problem gets when
-// the caller does not retain one.
-func newExecCache() *ExecMemo { return NewMemo(0) }
-
-// validate pins the memo to the model's world fingerprint; entries
-// computed under a different world (refreshed statistics, changed
-// physical descriptions) are purged first. Callers that share a memo
-// serialize their solves (the advisor service does), so a purge never
-// races a solve in flight.
-func (c *ExecMemo) validate(world uint64) {
-	c.genMu.Lock()
-	defer c.genMu.Unlock()
-	if c.genOK && c.gen == world {
-		return
-	}
-	if c.genOK {
-		c.purge()
-		c.invalidations.Add(1)
-	}
-	c.gen, c.genOK = world, true
-}
-
-// purge empties every shard. Called with genMu held.
-func (c *ExecMemo) purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		c.entries.Add(-int64(len(s.keys)))
-		s.m = make(map[execKey]int)
-		s.keys, s.vals, s.ref = nil, nil, nil
-		s.hand = 0
-		s.mu.Unlock()
-	}
-}
-
-// shard maps a key to its shard with a Fibonacci mix so consecutive
-// segment hashes spread instead of clustering.
-func (c *ExecMemo) shard(k execKey) *execShard {
-	h := (k.seg ^ uint64(k.cfg)<<32 ^ uint64(k.cfg)>>32) * 0x9E3779B97F4A7C15
-	return &c.shards[h>>(64-6)] // top 6 bits: [0, 64)
-}
-
-func (c *ExecMemo) get(k execKey) (float64, bool) {
-	s := c.shard(k)
-	s.mu.RLock()
-	i, ok := s.m[k]
-	var v float64
-	if ok {
-		v = s.vals[i]
-		atomic.StoreUint32(&s.ref[i], 1)
-	}
-	s.mu.RUnlock()
-	c.lookups.Add(1)
-	if ok {
-		c.hits.Add(1)
-	}
-	return v, ok
-}
-
-func (c *ExecMemo) put(k execKey, v float64) {
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i, ok := s.m[k]; ok {
-		s.vals[i] = v
-		return
-	}
-	if c.capShard > 0 && len(s.keys) >= c.capShard {
-		// Clock sweep: give referenced slots a second chance, evict the
-		// first unreferenced one. Terminates within two laps — the
-		// first lap clears every ref bit it passes.
-		for {
-			if s.hand >= len(s.keys) {
-				s.hand = 0
-			}
-			if atomic.LoadUint32(&s.ref[s.hand]) != 0 {
-				atomic.StoreUint32(&s.ref[s.hand], 0)
-				s.hand++
-				continue
-			}
-			break
-		}
-		i := s.hand
-		s.hand++
-		delete(s.m, s.keys[i])
-		s.keys[i] = k
-		s.vals[i] = v
-		atomic.StoreUint32(&s.ref[i], 1)
-		s.m[k] = i
-		c.evictions.Add(1)
-		return
-	}
-	s.m[k] = len(s.keys)
-	s.keys = append(s.keys, k)
-	s.vals = append(s.vals, v)
-	s.ref = append(s.ref, 1)
-	c.entries.Add(1)
-}
-
-// MemoStats describes an EXEC memo's occupancy and lifetime counters —
-// the observability surface a capped, long-lived memo needs so growth
-// and eviction pressure are measurable instead of invisible.
+// MemoStats describes a plan cache's occupancy and lifetime counters.
 type MemoStats struct {
-	// Entries is the current occupancy; Capacity the configured bound
-	// (0 = unbounded).
-	Entries  int64
+	// Entries is the number of retained plan tables; Capacity the
+	// configured ceiling (0 = unbounded).
+	Entries  int
 	Capacity int
-	// Lookups and Hits count EXEC memo probes over the memo's lifetime.
-	Lookups int64
-	Hits    int64
-	// Evictions counts entries displaced by the clock sweep once a
-	// shard reached its cap.
-	Evictions int64
-	// Invalidations counts whole-memo purges forced by a cost-world
+	// Hits counts distinct statements served from retained tables;
+	// Compiles counts plan tables compiled.
+	Hits     int64
+	Compiles int64
+	// Invalidations counts whole-cache purges forced by a cost-world
 	// change (refreshed statistics).
 	Invalidations int64
 }
 
-// HitRate returns the fraction of lookups served from the memo, 0 when
-// nothing was looked up.
-func (s MemoStats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
+// Stats returns a snapshot of the cache's counters.
+func (c *ExecMemo) Stats() MemoStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return MemoStats{
+		Entries:       len(c.plans),
+		Capacity:      c.capacity,
+		Hits:          c.hits,
+		Compiles:      c.compiles,
+		Invalidations: c.invalidations,
 	}
-	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// Stats returns a snapshot of the memo's counters.
-func (c *ExecMemo) Stats() MemoStats {
-	capacity := 0
-	if c.capShard > 0 {
-		capacity = c.capShard * execCacheShards
+// compile returns one plan table per statement of stmts, compiled under
+// the cost world fingerprinted by world. Each distinct SQL text is
+// probed once: served from the retained tables when present, compiled
+// otherwise. The returned stats describe this call alone. A statement
+// that cost.CompilePlan rejects (DDL, or one that cannot be costed)
+// fails the whole call with its index and text, and the retained tables
+// are not replaced.
+func (c *ExecMemo) compile(world uint64, stmts []workload.Statement, t cost.TablePhys, phys []cost.IndexPhys) ([]*cost.PlanTable, CostStats, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.worldOK && c.world != world {
+		c.plans = nil
+		c.invalidations++
 	}
-	return MemoStats{
-		Entries:       c.entries.Load(),
-		Capacity:      capacity,
-		Lookups:       c.lookups.Load(),
-		Hits:          c.hits.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
+	c.world, c.worldOK = world, true
+	var st CostStats
+	defer func() {
+		c.hits += st.CacheHits
+		c.compiles += st.WhatIfCalls
+	}()
+	tables := make([]*cost.PlanTable, len(stmts))
+	seen := make(map[string]*cost.PlanTable)
+	for i, s := range stmts {
+		if pt, ok := seen[s.SQL]; ok {
+			tables[i] = pt
+			continue
+		}
+		st.CacheLookups++
+		pt, ok := c.plans[s.SQL]
+		if ok {
+			st.CacheHits++
+		} else {
+			var err error
+			if pt, err = cost.CompilePlan(s.Stmt, t, phys); err != nil {
+				return nil, st, fmt.Errorf("advisor: statement %d (%q): %w", i, s.SQL, err)
+			}
+			st.WhatIfCalls++
+		}
+		st.PlanTableBytes += int64(pt.Bytes())
+		seen[s.SQL] = pt
+		tables[i] = pt
+	}
+	st.PlanTableBuilds = st.WhatIfCalls
+	c.retain(seen, stmts)
+	return tables, st, nil
+}
+
+// retain replaces the retained tables with the newest problem's, whose
+// distinct statements seen maps. Over capacity it keeps the statements
+// that occur latest in stmts — the ones a sliding window holds longest.
+func (c *ExecMemo) retain(seen map[string]*cost.PlanTable, stmts []workload.Statement) {
+	if c.capacity == 0 || len(seen) <= c.capacity {
+		c.plans = seen
+		return
+	}
+	c.plans = make(map[string]*cost.PlanTable, c.capacity)
+	for i := len(stmts) - 1; len(c.plans) < c.capacity; i-- {
+		c.plans[stmts[i].SQL] = seen[stmts[i].SQL]
 	}
 }
 
 // CostStats is the lightweight instrumentation of one advisor run's
-// what-if costing: how many statement costings the cost model actually
-// performed and how well the EXEC memo served the solvers.
+// what-if costing: how many plan tables problem assembly compiled and
+// how well the plan cache served it.
 type CostStats struct {
-	// WhatIfCalls counts individual what-if statement costings — the
-	// unit the paper's Figure 4 discussion treats as the advisor's
-	// dominant expense. It counts costings the solvers *demanded* (memo
-	// misses × statements, attempted evaluations included even when
-	// costing fails); memo hits never count.
+	// WhatIfCalls counts the what-if statement costings this run
+	// performed: plan tables compiled, one per distinct statement not
+	// served from a retained cache — the unit the paper's Figure 4
+	// discussion treats as the advisor's dominant expense.
 	WhatIfCalls int64
-	// CacheLookups and CacheHits describe the EXEC memo: every
-	// CostModel.Exec call is one lookup, served from the cache when the
-	// (segment, configuration) pair was costed before.
+	// CacheLookups and CacheHits describe the plan cache: every distinct
+	// statement of the workload is one lookup, a hit when a retained
+	// cache (Options.Memo) already held its compiled table.
 	CacheLookups int64
 	CacheHits    int64
-	// PlanTableBuilds counts per-statement plan-table compilations —
-	// the "one histogram pass per access path" work the batched costing
-	// layer performs once per (stage, statement) instead of once per
-	// configuration. PlanTableBytes is the heap those tables retain.
+	// PlanTableBuilds counts per-statement plan-table compilations (equal
+	// to WhatIfCalls); PlanTableBytes is the heap the problem's distinct
+	// tables retain.
 	PlanTableBuilds int64
 	PlanTableBytes  int64
 	// BatchedLookups counts configurations evaluated through the
-	// BatchExec frontier entry point (memo hits included).
+	// BatchExec frontier entry point.
 	BatchedLookups int64
 }
 
-// HitRate returns the fraction of EXEC lookups served from the memo, 0
-// when nothing was looked up.
+// HitRate returns the fraction of plan-cache lookups served from
+// retained tables, 0 when nothing was looked up.
 func (s CostStats) HitRate() float64 {
 	if s.CacheLookups == 0 {
 		return 0

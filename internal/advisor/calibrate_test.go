@@ -9,7 +9,7 @@ import (
 
 // TestSolveHotPathZeroAllocWithCalibrationDisabled pins the acceptance
 // guarantee that leaving Options.Calibrate nil adds nothing to the
-// solve hot path: a memoized EXEC evaluation — the operation the
+// solve hot path: an EXEC evaluation — the operation the
 // solvers issue millions of times — performs zero heap allocations,
 // matching the disabled-tracer guarantee. Calibration runs strictly
 // after the solve, so the only way it could tax this path is by
@@ -23,7 +23,8 @@ func TestSolveHotPathZeroAllocWithCalibrationDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := p.Model
-	// Warm the memo so the measured path is the steady-state hit path.
+	// Evaluate every cell once first, so the measured path is the
+	// steady state.
 	for stage := 0; stage < p.Stages; stage++ {
 		for _, c := range p.Configs {
 			model.Exec(stage, c)
@@ -35,7 +36,7 @@ func TestSolveHotPathZeroAllocWithCalibrationDisabled(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("memoized EXEC with calibration disabled allocates %v per run, want 0", allocs)
+		t.Fatalf("EXEC with calibration disabled allocates %v per run, want 0", allocs)
 	}
 }
 

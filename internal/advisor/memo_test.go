@@ -1,153 +1,172 @@
 package advisor
 
 import (
-	"math/rand"
 	"testing"
 
 	"dyndesign/internal/core"
+	"dyndesign/internal/workload"
 )
 
-// memoTraceKeys builds the key population for the looping replay: a hot
-// working set touched constantly (a periodic workload sliding through a
-// window) plus a long cold tail of once-in-a-while segments.
-func memoTraceKeys(n int) []execKey {
-	keys := make([]execKey, n)
-	for i := range keys {
-		h := newFnv()
-		h.u64(uint64(i) * 0x9E3779B97F4A7C15)
-		keys[i] = execKey{seg: uint64(h), cfg: core.Config(uint64(i % 7))}
+// distinctSQL returns the distinct statement texts of w in first-seen
+// order.
+func distinctSQL(w *workload.Workload) []string {
+	seen := make(map[string]bool)
+	var out []string
+	for _, s := range w.Statements {
+		if !seen[s.SQL] {
+			seen[s.SQL] = true
+			out = append(out, s.SQL)
+		}
 	}
-	return keys
+	return out
 }
 
-// replayMemo drives a memo with the looping trace: each step probes one
-// key and fills it on a miss, exactly the Exec fast path.
-func replayMemo(m *ExecMemo, hot, cold []execKey, steps int, seed int64) MemoStats {
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < steps; i++ {
-		var k execKey
-		if rng.Intn(10) < 9 {
-			k = hot[rng.Intn(len(hot))]
+// TestPlanCacheCountersArePerRun is the regression for lifetime
+// counters leaking into one run's CostStats: two solves sharing one
+// retained cache must each report their own probes — one per distinct
+// statement — and an unchanged-window re-solve must compile nothing and
+// hit on every probe. A slid window then compiles exactly the
+// statements the previous window did not hold.
+func TestPlanCacheCountersArePerRun(t *testing.T) {
+	_, adv := testAdvisor(t)
+	full := testWorkload(t)
+	w := full.Slice(0, 400)
+	distinct := int64(len(distinctSQL(w)))
+	opts := paperOpts(2)
+	opts.Memo = NewMemo(0)
+
+	rec1, err := adv.Recommend(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rec1.Stats; st.CacheLookups != distinct || st.CacheHits != 0 || st.WhatIfCalls != distinct {
+		t.Fatalf("cold solve stats %+v, want %d lookups, 0 hits, %d compiles", st, distinct, distinct)
+	}
+	rec2, err := adv.Recommend(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rec2.Stats
+	if st.CacheLookups != distinct || st.CacheHits != distinct {
+		t.Fatalf("re-solve reports %d lookups / %d hits, want exactly its own %d / %d",
+			st.CacheLookups, st.CacheHits, distinct, distinct)
+	}
+	if st.HitRate() != 1 {
+		t.Fatalf("unchanged-window HitRate = %v, want 1", st.HitRate())
+	}
+	if st.WhatIfCalls != 0 || st.PlanTableBuilds != 0 {
+		t.Fatalf("unchanged-window re-solve compiled %d plans (%d builds), want 0", st.WhatIfCalls, st.PlanTableBuilds)
+	}
+
+	slid := full.Slice(100, 500)
+	held := make(map[string]bool)
+	for _, q := range distinctSQL(w) {
+		held[q] = true
+	}
+	var wantHits, wantCompiles int64
+	for _, q := range distinctSQL(slid) {
+		if held[q] {
+			wantHits++
 		} else {
-			k = cold[rng.Intn(len(cold))]
-		}
-		if _, ok := m.get(k); !ok {
-			m.put(k, float64(i))
+			wantCompiles++
 		}
 	}
-	return m.Stats()
-}
-
-// TestExecMemoCapBoundedUnder100kReplay is the regression for unbounded
-// what-if memo growth: under a 100k-statement looping replay whose key
-// population far exceeds the cap, the capped memo must stay within its
-// bound, record its evictions, and — because the clock sweep gives the
-// hot working set second chances — keep a hit rate close to the
-// uncapped memo's.
-func TestExecMemoCapBoundedUnder100kReplay(t *testing.T) {
-	const (
-		steps    = 100_000
-		hotKeys  = 512
-		coldKeys = 50_000
-		capacity = 2048
-	)
-	hot := memoTraceKeys(hotKeys)
-	cold := memoTraceKeys(hotKeys + coldKeys)[hotKeys:]
-
-	uncapped := replayMemo(NewMemo(0), hot, cold, steps, 11)
-	capped := replayMemo(NewMemo(capacity), hot, cold, steps, 11)
-
-	if uncapped.Entries <= int64(capped.Capacity) {
-		t.Fatalf("fixture too weak: uncapped memo holds %d entries, cap is %d — the cap never bites",
-			uncapped.Entries, capped.Capacity)
+	if wantHits == 0 || wantCompiles == 0 {
+		t.Fatalf("fixture too weak: slide shares %d and adds %d distinct statements", wantHits, wantCompiles)
 	}
-	if capped.Capacity < capacity {
-		t.Fatalf("Capacity = %d, want >= requested %d", capped.Capacity, capacity)
+	rec3, err := adv.Recommend(slid, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if capped.Entries > int64(capped.Capacity) {
-		t.Fatalf("capped memo occupancy %d exceeds bound %d", capped.Entries, capped.Capacity)
-	}
-	if capped.Evictions == 0 {
-		t.Fatal("capped memo recorded no evictions under a trace exceeding its capacity")
-	}
-	if uncapped.Evictions != 0 {
-		t.Fatalf("uncapped memo evicted %d entries", uncapped.Evictions)
-	}
-	// The floor is derived from the uncapped run: losing the cold tail
-	// may cost hits, but the clock must preserve the hot set, which
-	// carries ~90% of the probes.
-	floor := 0.8 * uncapped.HitRate()
-	if got := capped.HitRate(); got < floor {
-		t.Fatalf("capped hit rate %.3f below floor %.3f (uncapped %.3f): eviction is destroying the working set",
-			got, floor, uncapped.HitRate())
-	}
-	if capped.Lookups != steps || uncapped.Lookups != steps {
-		t.Fatalf("lookup counters %d/%d, want %d", capped.Lookups, uncapped.Lookups, steps)
+	if st := rec3.Stats; st.CacheHits != wantHits || st.WhatIfCalls != wantCompiles || st.CacheLookups != wantHits+wantCompiles {
+		t.Fatalf("slid-window stats %+v, want %d hits and %d compiles", st, wantHits, wantCompiles)
 	}
 }
 
-// TestExecMemoClockPrefersHotEntries pins the second-chance property
-// directly: with a shard full of referenced entries, the sweep clears
-// ref bits on its first lap and evicts an unreferenced slot, never an
-// entry probed since the last sweep.
-func TestExecMemoClockPrefersHotEntries(t *testing.T) {
-	// Capacity 64 gives exactly one slot per shard, so every insertion
-	// beyond the first per shard must evict and the clock logic is
-	// exercised on each one.
-	m := NewMemo(64)
-	keys := memoTraceKeys(512)
-	for i, k := range keys {
-		m.put(k, float64(i))
-	}
-	st := m.Stats()
-	if st.Entries > int64(st.Capacity) {
-		t.Fatalf("occupancy %d exceeds bound %d", st.Entries, st.Capacity)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("no evictions recorded with one slot per shard and 512 insertions")
-	}
-	// The most recently inserted key of some shard is referenced; it
-	// must still be resident.
-	last := keys[len(keys)-1]
-	if _, ok := m.get(last); !ok {
-		t.Fatal("most recent insertion already evicted")
-	}
-}
+// TestExecMemoRetainsNewestProblemUpToCap pins the retention rule: after
+// an assembly the cache holds exactly the newest problem's distinct
+// statements, and a capacity below that keeps the ones occurring
+// latest.
+func TestExecMemoRetainsNewestProblemUpToCap(t *testing.T) {
+	_, adv := testAdvisor(t)
+	full := testWorkload(t)
+	first, second := full.Slice(0, 300), full.Slice(200, 500)
 
-// TestExecMemoInvalidationOnWorldChange pins the generation check in
-// isolation: a validate against a different world fingerprint purges
-// every entry and counts one invalidation.
-func TestExecMemoInvalidationOnWorldChange(t *testing.T) {
 	m := NewMemo(0)
-	m.validate(1)
-	keys := memoTraceKeys(100)
-	for i, k := range keys {
-		m.put(k, float64(i))
+	opts := paperOpts(2)
+	opts.Memo = m
+	for _, w := range []*workload.Workload{first, second} {
+		if _, _, err := adv.Problem(w, opts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	m.validate(1) // same world: no-op
-	if st := m.Stats(); st.Invalidations != 0 || st.Entries != 100 {
-		t.Fatalf("same-world validate purged: %+v", st)
+	want := distinctSQL(second)
+	if got := m.Stats().Entries; got != len(want) {
+		t.Fatalf("uncapped cache retains %d tables, want the newest problem's %d", got, len(want))
 	}
-	m.validate(2)
-	st := m.Stats()
-	if st.Invalidations != 1 {
-		t.Fatalf("Invalidations = %d, want 1", st.Invalidations)
+	for _, q := range want {
+		if m.plans[q] == nil {
+			t.Fatalf("newest problem's statement %q not retained", q)
+		}
 	}
-	if st.Entries != 0 {
-		t.Fatalf("entries after world change = %d, want 0", st.Entries)
+
+	const capacity = 10
+	capped := NewMemo(capacity)
+	opts.Memo = capped
+	if _, _, err := adv.Problem(second, opts); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := m.get(keys[0]); ok {
-		t.Fatal("stale entry served after world change")
+	st := capped.Stats()
+	if st.Entries != capacity || st.Capacity != capacity {
+		t.Fatalf("capped cache holds %d (capacity %d), want %d", st.Entries, st.Capacity, capacity)
+	}
+	latest := map[string]bool{}
+	for i := second.Len() - 1; len(latest) < capacity; i-- {
+		latest[second.Statements[i].SQL] = true
+	}
+	for q := range latest {
+		if capped.plans[q] == nil {
+			t.Fatalf("latest statement %q evicted by the cap", q)
+		}
+	}
+}
+
+// TestExecMemoInvalidationOnWorldChange pins the world pin in
+// isolation: compiling under a different world fingerprint purges every
+// retained table, counts one invalidation, and recompiles.
+func TestExecMemoInvalidationOnWorldChange(t *testing.T) {
+	_, adv := testAdvisor(t)
+	stmts := testWorkload(t).Slice(0, 50).Statements
+	m := NewMemo(0)
+	compile := func(world uint64) CostStats {
+		t.Helper()
+		_, st, err := m.compile(world, stmts, adv.table, adv.phys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	cold := compile(1)
+	if warm := compile(1); warm.WhatIfCalls != 0 || m.Stats().Invalidations != 0 {
+		t.Fatalf("same-world compile recompiled %d tables (invalidations %d)", warm.WhatIfCalls, m.Stats().Invalidations)
+	}
+	moved := compile(2)
+	if got := m.Stats().Invalidations; got != 1 {
+		t.Fatalf("Invalidations = %d, want 1", got)
+	}
+	if moved.CacheHits != 0 || moved.WhatIfCalls != cold.WhatIfCalls {
+		t.Fatalf("post-change compile served %d stale tables, compiled %d (want 0, %d)",
+			moved.CacheHits, moved.WhatIfCalls, cold.WhatIfCalls)
 	}
 }
 
 // TestAdvisorRetainedStateAcrossStatsRefresh is the end-to-end staleness
-// regression of the satellite bugfixes: one advisor retaining a memo and
-// a solve cache across recommendations must (a) serve an unchanged
-// window entirely from the retained state and (b) discard ALL of it —
-// memo entries and cost tables — the moment the table's histograms are
-// mutated in place, because the fingerprints changed even though every
-// pointer stayed the same.
+// regression: one advisor retaining a plan cache and a solve cache
+// across recommendations must (a) serve an unchanged window entirely
+// from the retained state and (b) discard ALL of it — plan tables and
+// cost tables — the moment the table's histograms are mutated in place,
+// because the fingerprints changed even though every pointer stayed the
+// same.
 func TestAdvisorRetainedStateAcrossStatsRefresh(t *testing.T) {
 	_, adv := testAdvisor(t)
 	w := testWorkload(t)
@@ -164,14 +183,14 @@ func TestAdvisorRetainedStateAcrossStatsRefresh(t *testing.T) {
 	}
 
 	// Unchanged world: the re-solve must be served wholly from the
-	// retained memo (zero fresh costings) and warm-start the cost tables
+	// retained plan cache (zero compiles) and warm-start the cost tables
 	// from the retained cache despite the model instance being new.
 	rec2, err := adv.Recommend(w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rec2.Stats.WhatIfCalls; got != 0 {
-		t.Fatalf("unchanged-window re-solve performed %d what-if costings, want 0 (memo not reused)", got)
+		t.Fatalf("unchanged-window re-solve compiled %d plans, want 0 (cache not reused)", got)
 	}
 	if got := rec2.Problem.Metrics.MatrixBuilds(); got != 0 {
 		t.Fatalf("unchanged-window re-solve built %d matrices, want 0 (cache not warm-started)", got)
@@ -183,7 +202,7 @@ func TestAdvisorRetainedStateAcrossStatsRefresh(t *testing.T) {
 		t.Fatalf("re-solve cost %v != first cost %v", rec2.Solution.Cost, rec1.Solution.Cost)
 	}
 	if st := opts.Memo.Stats(); st.Invalidations != 0 {
-		t.Fatalf("unchanged world purged the memo: %+v", st)
+		t.Fatalf("unchanged world purged the plan cache: %+v", st)
 	}
 
 	// "Refresh the statistics": mutate the histograms in place — same
@@ -204,8 +223,8 @@ func TestAdvisorRetainedStateAcrossStatsRefresh(t *testing.T) {
 	if st := opts.Memo.Stats(); st.Invalidations != 1 {
 		t.Fatalf("Invalidations after stats refresh = %d, want 1", st.Invalidations)
 	}
-	if got := rec3.Stats.WhatIfCalls; got == 0 {
-		t.Fatal("post-refresh solve served stale memo entries (0 what-if costings)")
+	if got := rec3.Stats; got.WhatIfCalls == 0 || got.CacheHits != 0 {
+		t.Fatalf("post-refresh solve served stale plan tables: %+v", got)
 	}
 	if got := rec3.Problem.Metrics.MatrixBuilds(); got != 1 {
 		t.Fatalf("post-refresh solve built %d matrices, want 1 (stale tables replayed)", got)

@@ -40,18 +40,6 @@ func (m *averagedModel) Size(c core.Config) float64 {
 	return m.models[0].Size(c)
 }
 
-// TakeErr implements core.FallibleModel: the first failure recorded by
-// any fallible sub-model (all are drained).
-func (m *averagedModel) TakeErr() error {
-	var first error
-	for _, sub := range m.models {
-		if err := takeModelErr(sub); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // costStats implements statsProvider by summing over the per-trace
 // models (sub-models that expose no stats contribute zero).
 func (m *averagedModel) costStats() CostStats {

@@ -26,8 +26,9 @@ type Recommendation struct {
 	Solution       *core.Solution
 	Strategy       core.Strategy
 	Elapsed        time.Duration
-	// Stats is the what-if costing instrumentation of the run: call
-	// count and EXEC-memo hit rate. It makes costing-layer speedups
+	// Stats is the what-if costing instrumentation of this run alone:
+	// plan tables compiled and the plan-cache hit rate over the
+	// workload's distinct statements. It makes costing-layer speedups
 	// observable instead of asserted.
 	Stats CostStats
 	// MatrixBuilds and MatrixBuildTime describe the dense cost-table

@@ -88,7 +88,7 @@ func RunRankingAblation(ctx context.Context, t2 *Table2Result, ks []int, budget 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := core.SolveUnconstrained(ctx, base); err != nil { // warm the memo
+	if _, err := core.SolveUnconstrained(ctx, base); err != nil { // warm the solve cache
 		return nil, err
 	}
 	res := &RankingAblation{
@@ -170,16 +170,10 @@ func RunStrategyComparison(ctx context.Context, t2 *Table2Result, k int) (_ *Str
 	if err != nil {
 		return nil, err
 	}
-	if _, err := core.SolveUnconstrained(ctx, &core.Problem{
-		Stages: base.Stages, Configs: base.Configs, Initial: base.Initial,
-		Final: base.Final, K: core.Unconstrained, Policy: base.Policy, Model: base.Model,
-	}); err != nil { // warm the memo
-		return nil, err
-	}
 	// Every strategy solves the same shared problem concurrently — the
-	// sharded what-if memo makes that safe, and it is exactly the
-	// "several strategies on one cached model" scenario the costing
-	// layer is built for. Costs and changes are scheduling-independent;
+	// what-if model is immutable once assembled, which makes that safe,
+	// and it is exactly the "several strategies on one cached model"
+	// scenario the costing layer is built for. Costs and changes are scheduling-independent;
 	// wall times are indicative under contention.
 	strategies := core.Strategies()
 	res := &StrategyComparison{

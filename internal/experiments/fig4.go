@@ -72,7 +72,7 @@ func RunFigure4(ctx context.Context, t2 *Table2Result, ks []int) (_ *Figure4Resu
 	if err != nil {
 		return nil, err
 	}
-	// Warm the what-if memo so timing measures graph work, not cost
+	// Warm the solve cache so timing measures graph work, not cost
 	// model evaluation.
 	seed, err := core.SolveUnconstrained(ctx, base)
 	if err != nil {
@@ -90,8 +90,8 @@ func RunFigure4(ctx context.Context, t2 *Table2Result, ks []int) (_ *Figure4Resu
 		return nil, err
 	}
 
-	// The per-k cells are independent and share the warmed what-if
-	// memo, so they fan out across cores. Each cell reports the
+	// The per-k cells are independent and share the warmed solve
+	// cache, so they fan out across cores. Each cell reports the
 	// *minimum* over its repetitions (see timeIt), which is robust to
 	// co-running cells: on an otherwise idle machine every cell gets
 	// whole cores for at least one rep, and on one CPU the fan-out

@@ -73,17 +73,19 @@ func transitionFor(p *core.Problem, from core.Config, run core.Run, next *core.C
 	if opts.StageInfo != nil {
 		t.Statement, _ = opts.StageInfo(run.Start)
 	}
-	impacts := make([]StageImpact, 0, run.Length)
+	top := opts.topStages()
+	impacts := make([]StageImpact, 0, min(top, run.Length))
 	for i := run.Start; i < run.Start+run.Length; i++ {
 		under := p.Model.Exec(i, to)
 		t.RunExecCost += under
 		delta := p.Model.Exec(i, from) - under
 		t.ExecSaved += delta
-		im := StageImpact{Stage: i, Statement: -1, Delta: delta}
-		if opts.StageInfo != nil {
-			im.Statement, im.SQL = opts.StageInfo(i)
+		impacts = keepTop(impacts, StageImpact{Stage: i, Statement: -1, Delta: delta}, top)
+	}
+	if opts.StageInfo != nil {
+		for j := range impacts {
+			impacts[j].Statement, impacts[j].SQL = opts.StageInfo(impacts[j].Stage)
 		}
-		impacts = append(impacts, im)
 	}
 	// RemovalPenalty is the merge heuristic's penalty of collapsing this
 	// run into its predecessor: run stages execute under from, the
@@ -94,15 +96,31 @@ func transitionFor(p *core.Problem, from core.Config, run core.Run, next *core.C
 		t.RemovalPenalty -= p.Model.Trans(to, *next)
 		t.RemovalPenalty += p.Model.Trans(from, *next)
 	}
-	sort.SliceStable(impacts, func(a, b int) bool {
-		if impacts[a].Delta != impacts[b].Delta {
-			return impacts[a].Delta > impacts[b].Delta
-		}
-		return impacts[a].Stage < impacts[b].Stage
-	})
-	if top := opts.topStages(); len(impacts) > top {
-		impacts = impacts[:top]
-	}
 	t.TopStages = impacts
 	return t
+}
+
+// ranksBefore orders stage impacts: larger savings first, the earlier
+// stage on ties. Stages are unique, so the order is total.
+func ranksBefore(a, b StageImpact) bool {
+	if a.Delta != b.Delta {
+		return a.Delta > b.Delta
+	}
+	return a.Stage < b.Stage
+}
+
+// keepTop inserts im into top, which holds at most n impacts in rank
+// order, dropping the lowest-ranked one when full — a bounded selection
+// equal to the first n of a full sort.
+func keepTop(top []StageImpact, im StageImpact, n int) []StageImpact {
+	pos := sort.Search(len(top), func(j int) bool { return ranksBefore(im, top[j]) })
+	if pos == n {
+		return top
+	}
+	if len(top) < n {
+		top = append(top, StageImpact{})
+	}
+	copy(top[pos+1:], top[pos:len(top)-1])
+	top[pos] = im
+	return top
 }
