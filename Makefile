@@ -62,10 +62,10 @@ chaos:
 # must agree on feasibility and cost (kernel_test.go), and the
 # partitioned solver must stay within its reported optimality gap of
 # the monolithic exact solve — bit-identical when the gap is zero
-# (partition_test.go), and batched plan-table costing must be bitwise
-# identical to the scalar what-if coster on every configuration
-# (plan_test.go). CI runs this as a smoke test; longer local campaigns
-# just raise -fuzztime.
+# (partition_test.go), and batched plan-table costing, lattice rows
+# included, must be bitwise identical to the scalar what-if coster on
+# every configuration (plan_test.go). CI runs this as a smoke test;
+# longer local campaigns just raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=20s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=20s ./internal/core/

@@ -344,8 +344,34 @@ func (m *whatIfModel) Exec(stage int, c core.Config) float64 {
 	return total
 }
 
+// latticePool recycles BatchExec's lattice scratch: the accumulated
+// row plus AddRow's two recurrence rows, 3L floats for an L-cell
+// lattice. Each call takes its own buffer, so parallel matrix-build
+// workers never share one.
+var latticePool = sync.Pool{New: func() any { return new([]float64) }}
+
+// latticeLen returns the length L of the smallest configuration lattice
+// holding every config, and whether filling all of it pays: it does
+// when the frontier covers at least half of it (L <= 2*len(configs)).
+func latticeLen(configs []core.Config) (int, bool) {
+	var top core.Config
+	for _, c := range configs {
+		top |= c
+	}
+	w := bits.Len64(uint64(top))
+	if w >= 32 {
+		return 0, false // no frontier is that dense, and 1<<64 wraps to 0
+	}
+	l := 1 << uint(w)
+	return l, l <= 2*len(configs)
+}
+
 // BatchExec implements core.BatchCostModel: Exec over a frontier of
-// configurations, with the stage's table fetch paid once per call.
+// configurations, with the stage's table fetch paid once per call. A
+// dense frontier is costed as a whole lattice row through
+// cost.PlanTable.AddRow — each statement added in stage order, so every
+// cell is bit-identical to Exec — and gathered into out; a sparse one
+// sums the per-configuration lookups.
 func (m *whatIfModel) BatchExec(stage int, configs []core.Config, out []float64) []float64 {
 	if cap(out) < len(configs) {
 		out = make([]float64, len(configs))
@@ -353,6 +379,10 @@ func (m *whatIfModel) BatchExec(stage int, configs []core.Config, out []float64)
 	out = out[:len(configs)]
 	m.batchedLookups.Add(int64(len(configs)))
 	tables := m.plans[stage]
+	if l, ok := latticeLen(configs); ok {
+		latticeExec(tables, configs, out, l)
+		return out
+	}
 	for j, c := range configs {
 		total := 0.0
 		for _, pt := range tables {
@@ -361,6 +391,35 @@ func (m *whatIfModel) BatchExec(stage int, configs []core.Config, out []float64)
 		out[j] = total
 	}
 	return out
+}
+
+// latticeExec fills out[j] = EXEC(configs[j]) from an l-cell lattice
+// row, accumulating straight into out when configs is the lattice
+// itself in order.
+func latticeExec(tables []*cost.PlanTable, configs []core.Config, out []float64, l int) {
+	inPlace := len(configs) == l
+	for j := 0; inPlace && j < l; j++ {
+		inPlace = configs[j] == core.Config(j)
+	}
+	buf := latticePool.Get().(*[]float64)
+	if cap(*buf) < 3*l {
+		*buf = make([]float64, 3*l)
+	}
+	scratch := (*buf)[:2*l]
+	row := out
+	if !inPlace {
+		row = (*buf)[2*l : 3*l]
+	}
+	clear(row)
+	for _, pt := range tables {
+		pt.AddRow(row, scratch)
+	}
+	if !inPlace {
+		for j, c := range configs {
+			out[j] = row[c]
+		}
+	}
+	latticePool.Put(buf)
 }
 
 // costStats implements statsProvider.

@@ -371,32 +371,34 @@ func (k *hyperKernel) sweep(src []float64, scr *latticeScratch, reverse bool) {
 	if reverse {
 		stripPrice, addPrice = k.addL, k.drpL
 	}
+	// Each bit pass walks the lattice in blocks of 2*bit points: the low
+	// half has the bit clear, the high half set. A pass writes only one
+	// half and reads each target's single source from the other, so the
+	// visiting order cannot change the result.
 	size := k.size
 	for b := 0; b < k.nbits; b++ {
 		bit := 1 << uint(b)
 		price := stripPrice[b]
-		for x := bit; x < size; x++ {
-			if x&bit == 0 {
-				continue
-			}
-			y := x &^ bit
-			if v := val[x] + price; v < val[y] {
-				val[y] = v
-				org[y] = org[x]
+		for hi := 0; hi < size; hi += 2 * bit {
+			for y := hi; y < hi+bit; y++ {
+				x := y | bit
+				if v := val[x] + price; v < val[y] {
+					val[y] = v
+					org[y] = org[x]
+				}
 			}
 		}
 	}
 	for b := 0; b < k.nbits; b++ {
 		bit := 1 << uint(b)
 		price := addPrice[b]
-		for x := 0; x < size; x++ {
-			if x&bit != 0 {
-				continue
-			}
-			y := x | bit
-			if v := val[x] + price; v < val[y] {
-				val[y] = v
-				org[y] = org[x]
+		for hi := 0; hi < size; hi += 2 * bit {
+			for x := hi; x < hi+bit; x++ {
+				y := x | bit
+				if v := val[x] + price; v < val[y] {
+					val[y] = v
+					org[y] = org[x]
+				}
 			}
 		}
 	}

@@ -8,13 +8,6 @@ import (
 	"dyndesign/internal/sql"
 )
 
-// maxProjBits bounds the dense projection table of a PlanTable: a
-// statement whose relevant-index clique is wider falls back to the
-// direct bit-scan minimum instead of materializing 2^w cells. 12 bits
-// (4096 cells, 32 KiB) is far beyond the clique widths the partitioned
-// solver tolerates, so real workloads always get the dense table.
-const maxProjBits = 12
-
 // planKind mirrors the statement dispatch of StatementCost.
 type planKind uint8
 
@@ -31,10 +24,11 @@ const (
 // covering variant — pricing every histogram-derived selectivity a
 // single time, and records per-index path costs, per-index per-row
 // maintenance increments, and the statement's relevant-index mask.
-// Evaluating a configuration is then O(1) masked lookups instead of a
-// fresh plan derivation, and the result is bit-for-bit identical to
-// StatementCost over the corresponding index slice (the equivalence the
-// FuzzBatchCostEquivalence fuzzer pins):
+// Evaluating a configuration is then a bit-scan over its selected
+// indexes instead of a fresh plan derivation, and a whole lattice of
+// configurations (AddRow) costs two sequential flops per cell. Both are
+// bit-for-bit identical to StatementCost over the corresponding index
+// slice (the equivalence the FuzzBatchCostEquivalence fuzzer pins):
 //
 //   - a SELECT's cost is the minimum over candidate paths, each path's
 //     cost depends only on (statement, table, that one index), and
@@ -65,9 +59,6 @@ type PlanTable struct {
 	// planner's index-preferring tie-break) the heap scan, i.e. the
 	// statement's interaction clique.
 	relevant uint64
-	// proj, when non-nil, is the dense projected search table:
-	// proj[compress(c&relevant, relevant)] is the min-path cost of c.
-	proj []float64
 }
 
 // CompilePlan compiles one workload statement into a PlanTable over the
@@ -110,7 +101,6 @@ func CompilePlan(stmt sql.Statement, t TablePhys, indexes []IndexPhys) (*PlanTab
 	default:
 		return nil, fmt.Errorf("cost: statement %T is not a workload statement", stmt)
 	}
-	pt.buildProjection()
 	return pt, nil
 }
 
@@ -156,58 +146,10 @@ func (pt *PlanTable) compileMaint(indexes []IndexPhys, writes float64) {
 	}
 }
 
-// buildProjection materializes the dense projected search table over
-// the relevant bits when the clique is narrow enough.
-func (pt *PlanTable) buildProjection() {
-	w := bits.OnesCount64(pt.relevant)
-	if w == 0 || w > maxProjBits {
-		return
-	}
-	var pos [maxProjBits]int
-	b := 0
-	for m := pt.relevant; m != 0; m &= m - 1 {
-		pos[b] = bits.TrailingZeros64(m)
-		b++
-	}
-	pt.proj = make([]float64, 1<<uint(w))
-	for s := range pt.proj {
-		best := pt.heapCost
-		for b := 0; b < w; b++ {
-			if s>>uint(b)&1 == 1 {
-				if v := pt.pathCost[pos[b]]; v < best {
-					best = v
-				}
-			}
-		}
-		pt.proj[s] = best
-	}
-}
-
-// compress packs the bits of v selected by mask into the low bits of
-// the result, preserving order — a software PEXT.
-func compress(v, mask uint64) uint64 {
-	var out uint64
-	bit := uint64(1)
-	for m := mask; m != 0; m &= m - 1 {
-		if v&m&-m != 0 {
-			out |= bit
-		}
-		bit <<= 1
-	}
-	return out
-}
-
 // searchCost returns the row search's min-path cost under c.
 func (pt *PlanTable) searchCost(c uint64) float64 {
-	rel := c & pt.relevant
-	if rel == 0 {
-		return pt.heapCost
-	}
-	if pt.proj != nil {
-		return pt.proj[compress(rel, pt.relevant)]
-	}
 	best := pt.heapCost
-	for m := rel; m != 0; m &= m - 1 {
+	for m := c & pt.relevant; m != 0; m &= m - 1 {
 		if v := pt.pathCost[bits.TrailingZeros64(m)]; v < best {
 			best = v
 		}
@@ -228,16 +170,94 @@ func (pt *PlanTable) perRow(c uint64) float64 {
 
 // Cost returns EXEC(statement, c) for the configuration whose bit i
 // selects candidate index i — bit-identical to StatementCost over the
-// corresponding index slice.
+// corresponding index slice. The maintenance product is wrapped in an
+// explicit conversion, here and in AddRow, so no compiler may fuse it
+// with an addition into an FMA and round it differently.
 func (pt *PlanTable) Cost(c uint64) float64 {
 	c &= pt.allMask
 	switch pt.kind {
 	case planSelect:
 		return pt.searchCost(c)
 	case planInsert:
-		return pt.rows * pt.perRow(c)
+		return float64(pt.rows * pt.perRow(c))
 	default: // planUpdate, planDelete
-		return pt.searchCost(c) + pt.rows*pt.perRow(c)
+		return pt.searchCost(c) + float64(pt.rows*pt.perRow(c))
+	}
+}
+
+// AddRow adds EXEC(statement, c) to row[c] for every c < len(row): the
+// whole configuration lattice over the low log2(len(row)) candidate
+// bits, each cell bit-identical to Cost(c). len(row) must be a non-zero
+// power of two; scratch must hold 2*len(row) floats and is overwritten.
+//
+// The lattice is filled one bit at a time, each cell from the cell with
+// its highest bit cleared: the search cost is min(s[c-hi], pathCost[b])
+// (min is exact, so its order does not matter), and the per-row
+// maintenance p[c-hi] + maint[b] is the same ascending-bit addition
+// sequence perRow performs.
+func (pt *PlanTable) AddRow(row, scratch []float64) {
+	n := len(row)
+	if n == 0 || n&(n-1) != 0 {
+		panic("cost: AddRow row length is not a power of two")
+	}
+	s, p := scratch[:n:n], scratch[n:2*n:2*n]
+	switch pt.kind {
+	case planSelect:
+		pt.searchRow(s)
+		for c, v := range s {
+			row[c] += v
+		}
+	case planInsert:
+		pt.perRowRow(p)
+		for c, v := range p {
+			row[c] += float64(pt.rows * v)
+		}
+	default: // planUpdate, planDelete
+		pt.searchRow(s)
+		pt.perRowRow(p)
+		for c, v := range s {
+			row[c] += v + float64(pt.rows*p[c])
+		}
+	}
+}
+
+// searchRow fills s[c] with searchCost(c) for every c < len(s), a
+// non-empty power of two. A bit outside the relevant mask never wins
+// the min (its path costs more than the heap scan), so its half of the
+// lattice is a plain copy.
+func (pt *PlanTable) searchRow(s []float64) {
+	s[0] = pt.heapCost
+	for b, hi := 0, 1; hi < len(s); b, hi = b+1, hi<<1 {
+		lo, up := s[:hi], s[hi:2*hi]
+		if pt.relevant&(1<<uint(b)) == 0 {
+			copy(up, lo)
+			continue
+		}
+		v := pt.pathCost[b]
+		for c, best := range lo {
+			if v < best {
+				best = v
+			}
+			up[c] = best
+		}
+	}
+}
+
+// perRowRow fills p[c] with perRow(c) for every c < len(p), a non-empty
+// power of two. Bits past the candidate list select nothing, as Cost's
+// allMask makes them.
+func (pt *PlanTable) perRowRow(p []float64) {
+	p[0] = 1.0 // heap write
+	for b, hi := 0, 1; hi < len(p); b, hi = b+1, hi<<1 {
+		lo, up := p[:hi], p[hi:2*hi]
+		if b >= len(pt.maint) {
+			copy(up, lo)
+			continue
+		}
+		m := pt.maint[b]
+		for c, v := range lo {
+			up[c] = v + m
+		}
 	}
 }
 
@@ -250,5 +270,5 @@ func (pt *PlanTable) RelevantMask() uint64 { return pt.relevant }
 // for memory accounting of long-lived plan caches.
 func (pt *PlanTable) Bytes() int {
 	const header = 96 // struct fields + slice headers
-	return header + 8*(len(pt.pathCost)+len(pt.maint)+len(pt.proj))
+	return header + 8*(len(pt.pathCost)+len(pt.maint))
 }

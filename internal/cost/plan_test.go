@@ -157,12 +157,20 @@ func synthStatement(rng *rand.Rand) string {
 // checkSeed is the shared body of the fuzzer and the deterministic seed
 // sweep: for one random world it asserts that PlanTable.Cost is
 // bit-for-bit identical to scalar StatementCost on every configuration
-// of the candidate set.
+// of the candidate set, and that the AddRow lattice kernel adds exactly
+// Cost(c) to every cell of a prefilled row.
 func checkSeed(t *testing.T, seed uint64) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	tp := synthTable(t, rng)
 	idx := synthIndexes(t, rng, tp, 5)
 	subset := make([]IndexPhys, 0, len(idx))
+	// The row spans one bit past the candidate list, which Cost masks
+	// away and AddRow must treat the same. Its prefill draws from its
+	// own source so the seed's statements stay what they were.
+	fill := rand.New(rand.NewSource(^int64(seed)))
+	prefill := make([]float64, 2<<len(idx))
+	row := make([]float64, len(prefill))
+	scratch := make([]float64, 2*len(row))
 	nstmt := 1 + rng.Intn(6)
 	for si := 0; si < nstmt; si++ {
 		text := synthStatement(rng)
@@ -192,6 +200,20 @@ func checkSeed(t *testing.T, seed uint64) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d: %q config %05b: plan table %v (bits %x) != scalar %v (bits %x)",
 					seed, text, c, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		for c := range prefill {
+			prefill[c] = float64(fill.Intn(1000)) + fill.Float64()
+		}
+		for _, n := range []int{1 << len(idx), len(prefill)} {
+			copy(row, prefill)
+			pt.AddRow(row[:n], scratch)
+			for c := 0; c < n; c++ {
+				want := prefill[c] + pt.Cost(uint64(c))
+				if math.Float64bits(row[c]) != math.Float64bits(want) {
+					t.Fatalf("seed %d: %q lattice of %d, config %06b: AddRow %v (bits %x) != prefill+Cost %v (bits %x)",
+						seed, text, n, c, row[c], math.Float64bits(row[c]), want, math.Float64bits(want))
+				}
 			}
 		}
 	}
@@ -257,15 +279,16 @@ func TestRelevantMaskMatchesSoloProbe(t *testing.T) {
 	}
 }
 
-// TestPlanTableWideCliqueFallback forces a relevant clique wider than
-// maxProjBits so the dense projection array is skipped, and checks the
-// bit-scan fallback path still matches the scalar coster.
+// TestPlanTableWideCliqueFallback builds a 14-wide relevant clique and
+// checks Cost's bit-scan path — the one sparse frontiers and scalar
+// callers take — against the scalar coster on sampled configurations.
 func TestPlanTableWideCliqueFallback(t *testing.T) {
+	const width = 14
 	rng := rand.New(rand.NewSource(7))
 	tp := synthTable(t, rng)
 	def := catalog.IndexDef{Table: "t", Columns: []string{"a"}}
-	idx := make([]IndexPhys, 0, maxProjBits+2)
-	for i := 0; i < maxProjBits+2; i++ {
+	idx := make([]IndexPhys, 0, width)
+	for i := 0; i < width; i++ {
 		ip, err := HypotheticalIndex(def, tp)
 		if err != nil {
 			t.Fatalf("hypothetical index: %v", err)
@@ -277,8 +300,8 @@ func TestPlanTableWideCliqueFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CompilePlan: %v", err)
 	}
-	if w := bits.OnesCount64(pt.RelevantMask()); w <= maxProjBits {
-		t.Fatalf("want clique wider than %d, got %d (mask %b)", maxProjBits, w, pt.RelevantMask())
+	if w := bits.OnesCount64(pt.RelevantMask()); w != width {
+		t.Fatalf("want a %d-wide clique, got %d (mask %b)", width, w, pt.RelevantMask())
 	}
 	subset := make([]IndexPhys, 0, len(idx))
 	check := func(c uint64) {
